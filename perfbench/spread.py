@@ -4,16 +4,16 @@
 Usage, from the repository root:
 
   python3 perfbench/spread.py --workloads cold,zipf_swap --seeds 1-10 \
-      [--seconds 30] [--trace 0] [--json spread.json]
+      [--seconds 20] [--trace 0] [--json spread.json]
 
 Runs perfbench/run.py once per (workload, seed), then prints, for every
 end-to-end metric, the median, the quartiles and the spread (quartile
 distance over the median, as statistics.quantiles(values, n=4) gives the
 quartiles). It also prints the same spread for each candidate statistic of
-the per-unit time distributions (p5, p10, p25, p50 of TrainStep and
-request latency, whole-Fit wall time, users/s), read from the reference
-figures each run writes to .bench_out/details/. README.md's tables come
-from this output.
+the per-unit time distributions (p1, p2, p5, p10, p20, p25, p50 of
+TrainStep and request latency, whole-Fit wall time, users/s), read from the
+reference figures each run writes to .bench_out/details/. README.md's
+tables come from this output.
 """
 
 import argparse
@@ -46,12 +46,12 @@ def details_figures(details):
     """Candidate statistics from one run's reference figures."""
     out = {}
     for method, fits in details["methods"].items():
-        for q in ("p05", "p10", "p20", "p25", "p50"):
+        for q in ("p01", "p02", "p05", "p10", "p20", "p25", "p50"):
             out["%s.step_us.%s" % (method, q)] = fits["step_us"][q]
         for name in ("fit_ms", "fit_utime_s", "fit_stime_s", "proc_minflt"):
             out["%s.%s" % (method, name)] = statistics.median(fits[name])
     serve = details["serve"]
-    for q in ("p05", "p10", "p20", "p25", "p50", "p99"):
+    for q in ("p01", "p02", "p05", "p10", "p20", "p25", "p50", "p99"):
         out["latency_us." + q] = serve["latency_us"][q]
     out["users_per_s"] = serve["users_per_s"]
     if serve["publish_ms"]:
@@ -63,7 +63,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", default="cold,zipf_swap")
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--trace", type=int, default=0)
     parser.add_argument("--json")
     args = parser.parse_args()

@@ -4,9 +4,10 @@
 //                         --seconds <s> --trace <0|1> --out <dir>
 //
 // set-up (Coat world written to disk, serving models built and published,
-// server warmed up), three training fits in fresh child processes, then
-// `seconds` of serving traffic. Prints one JSON result as the last line of
-// standard output; run.py builds this binary and relays that line.
+// server warmed up), then training fits in fresh child processes (see
+// TrainPlan) alternating with windows of serving traffic that add up to
+// `seconds`. Prints one JSON result as the last line of standard output;
+// run.py builds this binary and relays that line.
 //
 //   perfbench_harness fit <method> <prefix> <result> <trace>
 //
@@ -112,12 +113,13 @@ Summary Summarize(std::vector<double> v) {
 
 std::string Json(const Summary& s) {
   if (s.n == 0) return "null";
-  char buf[320];
+  char buf[384];
   std::snprintf(buf, sizeof(buf),
-                "{\"n\": %zu, \"p05\": %.6g, \"p10\": %.6g, \"p20\": %.6g, "
-                "\"p25\": %.6g, \"p50\": %.6g, \"p90\": %.6g, "
-                "\"p99\": %.6g}",
-                s.n, s.p05, s.p10, s.p20, s.p25, s.p50, s.p90, s.p99);
+                "{\"n\": %zu, \"p01\": %.6g, \"p02\": %.6g, \"p05\": %.6g, "
+                "\"p10\": %.6g, \"p20\": %.6g, \"p25\": %.6g, \"p50\": %.6g, "
+                "\"p90\": %.6g, \"p99\": %.6g}",
+                s.n, s.p01, s.p02, s.p05, s.p10, s.p20, s.p25, s.p50, s.p90,
+                s.p99);
   return buf;
 }
 
@@ -257,7 +259,7 @@ int Run(int argc, char** argv) {
       m.Add(MetricKey(method) + "_step_ms",
             Quantile(pooled[method].step_us, kTimeQuantile) / 1e3, "ms");
     }
-    m.Add("latency_us", serve.latency_us.p10, "us");
+    m.Add("latency_us", serve.latency_us.low, "us");
   } else {
     std::vector<double> load_ms;
     for (const std::string& method : TrainMethods()) {
@@ -291,10 +293,10 @@ int Run(int argc, char** argv) {
     m.Add("cache.hit_ratio", serve.cache_hit_ratio, "ratio");
     m.Add("registry.acquire_ns", replay.acquire_ns, "ns");
     m.Add("registry.publish_ms", replay.publish_ms, "ms");
-    m.Add("server.queue_us", serve.queue_us.p10, "us");
-    m.Add("server.handle_us", serve.handle_us.p10, "us");
-    m.Add("server.handoff_us", serve.handoff_us.p10, "us");
-    m.Add("server.latency_us", serve.latency_us.p10, "us");
+    m.Add("server.queue_us", serve.queue_us.low, "us");
+    m.Add("server.handle_us", serve.handle_us.low, "us");
+    m.Add("server.handoff_us", serve.handoff_us.low, "us");
+    m.Add("server.latency_us", serve.latency_us.low, "us");
     m.Add("alloc.calls_per_request", serve.alloc_calls_per_request, "count");
     m.Add("generator.late_us", serve.late_us.p99, "us");
   }

@@ -1,7 +1,5 @@
 #include "serve.h"
 
-#include <sys/prctl.h>
-
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -62,8 +60,6 @@ constexpr size_t kChecksAfterSwap = 4;
 constexpr size_t kMaxRecords = 16384;
 constexpr size_t kMaxGenerations = 256;
 constexpr size_t kZipfPending = 1024;
-// The generator sleeps until this long before a due time, then spins.
-constexpr double kSpinUs = 60.0;
 // Staged replay (traced runs).
 constexpr size_t kReplayRequests = 2000;
 constexpr size_t kReplayScored = 300;
@@ -345,8 +341,6 @@ std::string ServeBench::Setup() {
 void ServeBench::Window(double seconds) {
   World& w = *w_;
   ServeResult& r = w.result;
-  // Finer timer expirations for this (generator) thread only.
-  prctl(PR_SET_TIMERSLACK, 1UL, 0, 0, 0);
   const AllocCount alloc0 = ReadAllocCount();
   const size_t first = w.next;
 
@@ -413,42 +407,34 @@ void ServeBench::Window(double seconds) {
       }
     });
     const double interval = 1e6 / kZipfRatePerS;
+    // pending[0, live) are in flight. The generator spins and polls every
+    // one of them, so a response's ready time is when it completed: not
+    // when this thread woke up, nor when the requests sent before it did.
     std::vector<Pending> pending(kZipfPending);
-    size_t head = 0, count = 0;
+    size_t live = 0;
     double due = start;
-    auto complete_front = [&] {
-      Pending& p = pending[head];
-      const Recommendation rec = p.future.get();
-      observe(p, rec, NowUs());
-      p.future = {};
-      head = (head + 1) % pending.size();
-      --count;
+    auto complete = [&](size_t i) {
+      const Recommendation rec = pending[i].future.get();
+      observe(pending[i], rec, NowUs());
+      --live;
+      if (i != live) pending[i] = std::move(pending[live]);
     };
-    while (due < end || count > 0) {
-      const double now = NowUs();
-      if (due < end && now >= due) {
-        if (count == pending.size()) complete_front();
-        Pending& slot = pending[(head + count) % pending.size()];
+    while (due < end || live > 0) {
+      if (due < end && NowUs() >= due) {
+        if (live == pending.size()) complete(0);
+        Pending& slot = pending[live++];
         slot = w.Send(due);
         w.late_us->push_back(float(slot.submit_us - due));
-        ++count;
         due += interval;
         continue;
       }
-      // Collect what is ready; else wait on the oldest request until the
-      // next send is near, then spin to its due time.
-      const double wake = due < end ? due - kSpinUs : 0.0;
-      if (count > 0) {
-        if (pending[head].future.wait_for(std::chrono::seconds(0)) ==
+      for (size_t i = 0; i < live;) {
+        if (pending[i].future.wait_for(std::chrono::seconds(0)) ==
             std::future_status::ready) {
-          complete_front();
-        } else if (due >= end) {
-          pending[head].future.wait();
-        } else if (now < wake) {
-          pending[head].future.wait_until(AtUs(wake));
+          complete(i);
+        } else {
+          ++i;
         }
-      } else if (now < wake) {
-        std::this_thread::sleep_until(AtUs(wake));
       }
     }
     publisher.join();

@@ -22,7 +22,7 @@ namespace perfbench {
 
 enum class Traffic {
   kCold,      ///< closed loop, users cycle past the cache: every lookup misses
-  kZipfSwap,  ///< open loop, Zipf(1.1) users, a hot swap about once a second
+  kZipfSwap,  ///< open loop, Zipf(1.1) users, a hot swap in every window
 };
 
 /// Everything the serving phase measured. Times in µs unless named.

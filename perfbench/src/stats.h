@@ -27,9 +27,14 @@ double Quantile(std::vector<double> values, double q);
 /// The quantiles the benchmark reports of one series.
 struct Summary {
   size_t n = 0;
-  double p05 = 0.0, p10 = 0.0, p20 = 0.0, p25 = 0.0, p50 = 0.0, p90 = 0.0,
-         p99 = 0.0;
+  double p01 = 0.0, p02 = 0.0, p05 = 0.0, p10 = 0.0, p20 = 0.0, p25 = 0.0,
+         p50 = 0.0, p90 = 0.0, p99 = 0.0;
+  double low = 0.0;  ///< the kTimeQuantile quantile, which metrics report
 };
+
+/// The low quantile every time metric reports (see README.md: it repeats
+/// across runs where higher quantiles, medians and means do not).
+inline constexpr double kTimeQuantile = 0.01;
 
 /// Sorts [first, first + n) in place and summarizes it; sorting in place
 /// keeps the summary from allocating a copy of a long series.
@@ -38,6 +43,8 @@ Summary SummarizeInPlace(T* first, size_t n) {
   std::sort(first, first + n);
   Summary s;
   s.n = n;
+  s.p01 = QuantileOfSorted(first, n, 0.01);
+  s.p02 = QuantileOfSorted(first, n, 0.02);
   s.p05 = QuantileOfSorted(first, n, 0.05);
   s.p10 = QuantileOfSorted(first, n, 0.10);
   s.p20 = QuantileOfSorted(first, n, 0.20);
@@ -45,12 +52,9 @@ Summary SummarizeInPlace(T* first, size_t n) {
   s.p50 = QuantileOfSorted(first, n, 0.50);
   s.p90 = QuantileOfSorted(first, n, 0.90);
   s.p99 = QuantileOfSorted(first, n, 0.99);
+  s.low = QuantileOfSorted(first, n, kTimeQuantile);
   return s;
 }
-
-/// The low quantile every time metric reports (see README.md: it repeats
-/// across runs where medians and means do not).
-inline constexpr double kTimeQuantile = 0.10;
 
 }  // namespace perfbench
 

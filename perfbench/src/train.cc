@@ -155,7 +155,8 @@ const std::vector<std::string>& TrainMethods() {
 
 const std::vector<std::string>& TrainPlan() {
   static const std::vector<std::string> kPlan = {
-      "IPS", "DT-IPS", "IPS", "DT-DR", "IPS", "DT-IPS", "IPS", "DT-DR", "IPS"};
+      "IPS", "DT-IPS", "IPS", "DT-DR", "IPS", "DT-IPS", "IPS",
+      "DT-DR", "IPS", "DT-IPS", "IPS", "DT-DR", "IPS"};
   return kPlan;
 }
 

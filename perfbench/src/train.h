@@ -1,9 +1,9 @@
 #ifndef PERFBENCH_TRAIN_H_
 #define PERFBENCH_TRAIN_H_
 
-// The training part of every workload: one DT-IPS, one DT-DR and one IPS
-// Fit on the Coat-shaped world, each in a fresh child process that loads
-// the dataset from disk the way `dtrec_cli train <method> <prefix>` does.
+// The training part of every workload: DT-IPS, DT-DR and IPS fits on the
+// Coat-shaped world, each in a fresh child process that loads the dataset
+// from disk the way `dtrec_cli train <method> <prefix>` does.
 
 #include <cstdio>
 #include <string>
@@ -41,9 +41,11 @@ struct FitResult {
 /// IPS bypasses it.
 const std::vector<std::string>& TrainMethods();
 
-/// The fits of one run, in order: each DT method twice, and IPS, whose fit
-/// lasts about half a second, between all of them, so that one slow
-/// episode of the host cannot cover every step of a method in a run.
+/// The fits of one run, in order: each DT method three times, and IPS,
+/// whose fit lasts about half a second, between all of them. A fit runs
+/// either at full speed or about 1.45x slower throughout; spreading a
+/// method over several fits across the run leaves it some fits at full
+/// speed, whose fastest steps the reported low quantile picks up.
 const std::vector<std::string>& TrainPlan();
 
 /// Entry point of a fit child:
